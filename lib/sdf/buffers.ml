@@ -80,17 +80,24 @@ let build_bounded g original_channels bounded capacities =
   in
   (g', !owner)
 
+(* Per channel, how many clock steps saw some actor that could start next
+   except for tokens missing on that channel; counted after every step that
+   ran to its end (a step cut by the firing budget counts nothing). *)
 let most_blocking ~options g' owners =
   let eng = Execution.create ~options g' in
+  let blocked = Array.make (Graph.channel_count g') 0 in
+  let blame ch = blocked.(ch) <- blocked.(ch) + 1 in
   let steps = ref 0 in
   let continue = ref true in
   while !continue && !steps < 2_000 do
     (match Execution.advance eng with
-    | Execution.Advanced -> ()
-    | Execution.Deadlock | Execution.Budget_exhausted -> continue := false);
+    | Execution.Advanced -> Execution.iter_starved eng blame
+    | Execution.Deadlock ->
+        Execution.iter_starved eng blame;
+        continue := false
+    | Execution.Budget_exhausted -> continue := false);
     incr steps
   done;
-  let blocked = Execution.blocked_on eng in
   List.fold_left
     (fun best (space_id, orig_id) ->
       match best with

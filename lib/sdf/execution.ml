@@ -41,10 +41,10 @@ type engine = {
   (* dynamic state *)
   tokens : int array;
   inflight : int array;  (* per actor, number of firings in progress *)
-  remaining : int list array;  (* per actor, absolute completion times *)
-  pending : (int * int) Heap.t;  (* (actor, resource index or -1) by time *)
+  remaining : int list array;
+      (* per actor, absolute completion times, kept in descending order *)
+  pending : Graph.actor_id Heap.t;  (* firings in flight by completion time *)
   completion_counts : int array;
-  blocked_counts : int array;  (* per channel *)
   mutable clock : int;
   mutable firings_so_far : int;
   mutable initialized : bool;
@@ -115,14 +115,20 @@ let create ?(options = default_options) g =
     remaining = Array.make n [];
     pending = Heap.create ();
     completion_counts = Array.make n 0;
-    blocked_counts = Array.make (Graph.channel_count g) 0;
     clock = 0;
     firings_so_far = 0;
     initialized = false;
   }
 
 let ready eng a =
-  Array.for_all (fun (ch, rate) -> eng.tokens.(ch) >= rate) eng.inputs.(a)
+  let inputs = eng.inputs.(a) in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length inputs do
+    let ch, rate = inputs.(!i) in
+    if eng.tokens.(ch) < rate then ok := false;
+    incr i
+  done;
+  !ok
 
 let firing_duration eng a =
   match eng.options.firing_time with
@@ -134,77 +140,85 @@ let emit eng ev =
   | Some f -> f eng.clock ev
   | None -> ()
 
-let start_firing eng a resource_index =
+(* A firing started later usually finishes later, so the new time almost
+   always goes in front. *)
+let rec insert_descending t = function
+  | x :: rest when x > t -> x :: insert_descending t rest
+  | times -> t :: times
+
+let rec drop_once t = function
+  | [] -> []
+  | x :: rest when x = t -> rest
+  | x :: rest -> x :: drop_once t rest
+
+let start_firing eng a =
   if eng.firings_so_far >= eng.options.max_firings then raise Budget;
   eng.firings_so_far <- eng.firings_so_far + 1;
-  Array.iter
-    (fun (ch, rate) -> eng.tokens.(ch) <- eng.tokens.(ch) - rate)
-    eng.inputs.(a);
+  let inputs = eng.inputs.(a) in
+  for i = 0 to Array.length inputs - 1 do
+    let ch, rate = inputs.(i) in
+    eng.tokens.(ch) <- eng.tokens.(ch) - rate
+  done;
   eng.inflight.(a) <- eng.inflight.(a) + 1;
-  if resource_index >= 0 then eng.resource_states.(resource_index).busy <- true;
+  let r = eng.resource_of.(a) in
+  if r >= 0 then eng.resource_states.(r).busy <- true;
   let finish = eng.clock + Stdlib.max 0 (firing_duration eng a) in
-  eng.remaining.(a) <- finish :: eng.remaining.(a);
-  Heap.add eng.pending ~key:finish (a, resource_index);
+  eng.remaining.(a) <- insert_descending finish eng.remaining.(a);
+  Heap.add eng.pending ~key:finish a;
   emit eng (Fire_start a)
 
-let complete_firing eng a resource_index =
-  Array.iter
-    (fun (ch, rate) -> eng.tokens.(ch) <- eng.tokens.(ch) + rate)
-    eng.outputs.(a);
+let complete_firing eng a =
+  let outputs = eng.outputs.(a) in
+  for i = 0 to Array.length outputs - 1 do
+    let ch, rate = outputs.(i) in
+    eng.tokens.(ch) <- eng.tokens.(ch) + rate
+  done;
   eng.inflight.(a) <- eng.inflight.(a) - 1;
   eng.completion_counts.(a) <- eng.completion_counts.(a) + 1;
-  (* drop one occurrence of the current clock from the remaining-times list *)
-  let rec drop = function
-    | [] -> []
-    | t :: rest when t = eng.clock -> rest
-    | t :: rest -> t :: drop rest
-  in
-  eng.remaining.(a) <- drop eng.remaining.(a);
-  if resource_index >= 0 then begin
-    let r = eng.resource_states.(resource_index) in
+  eng.remaining.(a) <- drop_once eng.clock eng.remaining.(a);
+  if eng.resource_of.(a) >= 0 then begin
+    let r = eng.resource_states.(eng.resource_of.(a)) in
     r.busy <- false;
     r.position <- (r.position + 1) mod Array.length r.order
   end;
   emit eng (Fire_end a)
 
+let completion_due eng =
+  (not (Heap.is_empty eng.pending)) && Heap.top_key eng.pending = eng.clock
+
 (* Process every completion scheduled at the current instant. *)
-let rec drain_completions eng =
-  match Heap.min_key eng.pending with
-  | Some t when t = eng.clock -> begin
-      match Heap.pop eng.pending with
-      | Some (_, (a, res)) ->
-          complete_firing eng a res;
-          drain_completions eng
-      | None -> ()
-    end
-  | _ -> ()
+let drain_completions eng =
+  while completion_due eng do
+    complete_firing eng (Heap.pop_value eng.pending)
+  done
+
+let concurrency_limit eng =
+  match eng.options.auto_concurrency with Some k -> k | None -> max_int
+
+(* The actor a resource would start next, or -1 while it is busy. *)
+let resource_head r =
+  if r.busy || Array.length r.order = 0 then -1 else r.order.(r.position)
 
 (* One pass trying to start firings; returns how many were started. *)
 let start_pass eng =
   let started = ref 0 in
   (* resource-bound actors: strict static order, one firing at a time *)
-  Array.iteri
-    (fun i r ->
-      if (not r.busy) && Array.length r.order > 0 then begin
-        let a = r.order.(r.position) in
-        if ready eng a then begin
-          start_firing eng a i;
-          incr started
-        end
-      end)
-    eng.resource_states;
+  for i = 0 to Array.length eng.resource_states - 1 do
+    let a = resource_head eng.resource_states.(i) in
+    if a >= 0 && ready eng a then begin
+      start_firing eng a;
+      incr started
+    end
+  done;
   (* unbound actors: limited only by auto-concurrency *)
-  let limit =
-    match eng.options.auto_concurrency with Some k -> k | None -> max_int
-  in
-  Array.iteri
-    (fun a _ ->
-      if eng.resource_of.(a) = -1 then
-        while eng.inflight.(a) < limit && ready eng a do
-          start_firing eng a (-1);
-          incr started
-        done)
-    eng.actor_info;
+  let limit = concurrency_limit eng in
+  for a = 0 to Array.length eng.actor_info - 1 do
+    if eng.resource_of.(a) = -1 then
+      while eng.inflight.(a) < limit && ready eng a do
+        start_firing eng a;
+        incr started
+      done
+  done;
   !started
 
 (* Alternate completions and starts until the instant is exhausted: starting
@@ -213,34 +227,7 @@ let start_pass eng =
 let rec fixpoint eng =
   drain_completions eng;
   let started = start_pass eng in
-  let more_completions =
-    match Heap.min_key eng.pending with
-    | Some t -> t = eng.clock
-    | None -> false
-  in
-  if started > 0 || more_completions then fixpoint eng
-
-(* Blame channels for stalled actors: for every actor that is allowed to
-   start next but lacks tokens, count each starving input channel. *)
-let record_blocked eng =
-  let blame a =
-    if not (ready eng a) then
-      Array.iter
-        (fun (ch, rate) ->
-          if eng.tokens.(ch) < rate then
-            eng.blocked_counts.(ch) <- eng.blocked_counts.(ch) + 1)
-        eng.inputs.(a)
-  in
-  Array.iter
-    (fun r -> if (not r.busy) && Array.length r.order > 0 then blame r.order.(r.position))
-    eng.resource_states;
-  let limit =
-    match eng.options.auto_concurrency with Some k -> k | None -> max_int
-  in
-  Array.iteri
-    (fun a _ ->
-      if eng.resource_of.(a) = -1 && eng.inflight.(a) < limit then blame a)
-    eng.actor_info
+  if started > 0 || completion_due eng then fixpoint eng
 
 let advance eng =
   try
@@ -248,14 +235,11 @@ let advance eng =
       eng.initialized <- true;
       fixpoint eng
     end
+    else if Heap.is_empty eng.pending then raise Quiescent
     else begin
-      match Heap.min_key eng.pending with
-      | None -> raise Quiescent
-      | Some t ->
-          eng.clock <- t;
-          fixpoint eng
+      eng.clock <- Heap.top_key eng.pending;
+      fixpoint eng
     end;
-    record_blocked eng;
     if Heap.is_empty eng.pending then Deadlock else Advanced
   with
   | Quiescent -> Deadlock
@@ -273,19 +257,27 @@ let iterations_completed eng =
            "Execution.iterations_completed: graph %S is inconsistent"
            (Graph.name eng.graph))
   | Some q ->
-      if Array.length q = 0 then 0
-      else begin
-        let iterations = ref max_int in
-        Array.iteri
-          (fun a qa ->
-            if qa > 0 then
-              iterations := Stdlib.min !iterations (eng.completion_counts.(a) / qa))
-          q;
-        if !iterations = max_int then 0 else !iterations
-      end
+      let iterations = ref max_int in
+      for a = 0 to Array.length q - 1 do
+        let qa = q.(a) in
+        if qa > 0 then
+          iterations := Stdlib.min !iterations (eng.completion_counts.(a) / qa)
+      done;
+      if !iterations = max_int then 0 else !iterations
 
+let is_consistent eng = Option.is_some eng.repetition
 let channel_tokens eng = Array.copy eng.tokens
-let blocked_on eng = Array.copy eng.blocked_counts
+
+let iter_starved eng f =
+  let blame a =
+    if a >= 0 && not (ready eng a) then
+      Array.iter (fun (ch, rate) -> if eng.tokens.(ch) < rate then f ch) eng.inputs.(a)
+  in
+  Array.iter (fun r -> blame (resource_head r)) eng.resource_states;
+  let limit = concurrency_limit eng in
+  for a = 0 to Array.length eng.actor_info - 1 do
+    if eng.resource_of.(a) = -1 && eng.inflight.(a) < limit then blame a
+  done
 
 (* One reusable key buffer per domain: [state_key] runs once per
    simulation step, and a fresh [Buffer.create] each step is the
@@ -293,29 +285,36 @@ let blocked_on eng = Array.copy eng.blocked_counts
    pool domains it multiplies the stop-the-world minor collections. *)
 let key_scratch = Exec.Scratch.slot (fun () -> Buffer.create 256)
 
+(* Unsigned LEB128 over the int's bit pattern: seven bits a byte, high bit
+   set on every byte but the last. Prefix-free, so a sequence of varints
+   decodes uniquely. *)
+let rec add_varint b n =
+  if n land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (n land 0x7f lor 0x80));
+    add_varint b (n lsr 7)
+  end
+
+let rec add_relative b clock = function
+  | [] -> ()
+  | t :: rest ->
+      add_varint b (t - clock);
+      add_relative b clock rest
+
 let state_key eng =
   Exec.Scratch.borrow key_scratch ~reset:Buffer.clear @@ fun b ->
-  Array.iter (fun t -> Buffer.add_string b (string_of_int t); Buffer.add_char b ',')
-    eng.tokens;
-  Buffer.add_char b '|';
-  Array.iter
-    (fun times ->
-      let relative =
-        List.sort Stdlib.compare (List.map (fun t -> t - eng.clock) times)
-      in
-      List.iter
-        (fun t ->
-          Buffer.add_string b (string_of_int t);
-          Buffer.add_char b ',')
-        relative;
-      Buffer.add_char b ';')
-    eng.remaining;
-  Buffer.add_char b '|';
-  Array.iter
-    (fun r ->
-      Buffer.add_string b (string_of_int r.position);
-      Buffer.add_char b (if r.busy then '!' else '.'))
-    eng.resource_states;
+  for ch = 0 to Array.length eng.tokens - 1 do
+    add_varint b eng.tokens.(ch)
+  done;
+  for a = 0 to Array.length eng.remaining - 1 do
+    add_varint b eng.inflight.(a);
+    add_relative b eng.clock eng.remaining.(a)
+  done;
+  for i = 0 to Array.length eng.resource_states - 1 do
+    let r = eng.resource_states.(i) in
+    add_varint b r.position;
+    Buffer.add_char b (if r.busy then '\001' else '\000')
+  done;
   Buffer.contents b
 
 type outcome = {

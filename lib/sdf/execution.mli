@@ -68,19 +68,38 @@ val iterations_completed : engine -> int
 (** Whole graph iterations completed: [min_a completions(a) / q(a)].
     @raise Invalid_argument if the graph is inconsistent. *)
 
+val is_consistent : engine -> bool
+(** Whether the graph has a repetition vector, i.e. whether
+    {!iterations_completed} is defined. *)
+
 val channel_tokens : engine -> int array
 (** Current token count per channel id. *)
 
-val blocked_on : engine -> int array
-(** Per channel, how many clock steps saw some actor ready except for
-    tokens missing on that channel. Heuristic signal for buffer sizing. *)
+val iter_starved : engine -> (Graph.channel_id -> unit) -> unit
+(** [iter_starved eng f] calls [f] on every input channel that lacks
+    tokens for an actor allowed to start next (the head of an idle
+    resource's static order, or an unbound actor below its
+    auto-concurrency limit). Called after each {!advance}, it is the
+    blame signal buffer sizing uses to pick the channel to grow; the
+    engine itself keeps no such counts, so the step loop does not pay
+    for them. *)
 
 val state_key : engine -> string
-(** Canonical encoding of the full execution state (channel tokens,
-    in-flight firings with remaining times, resource positions). Two equal
-    keys at clock-advance points imply identical future behaviour; this is
-    the recurrence test used by throughput analysis. Only meaningful right
-    after {!advance} returned [Advanced] or at time 0 before any step. *)
+(** Canonical encoding of the full execution state. Two equal keys at
+    clock-advance points imply identical future behaviour; this is the
+    recurrence test used by throughput analysis. Only meaningful right
+    after {!advance} returned [Advanced] or at time 0 before any step.
+
+    The key is binary and only compares keys of one engine: one unsigned
+    LEB128 varint per channel's token count; per actor, the number of
+    firings in flight, then their remaining times relative to the clock
+    (the engine keeps each actor's completion times in descending order,
+    so no sorting happens here); per resource, its static-order position
+    and a busy byte. Varints are prefix-free and the channel, actor and
+    resource counts are fixed by the graph and options, so the encoding
+    is injective: two keys are equal exactly when the states are. It is
+    written into a domain-local scratch buffer; the returned string is
+    the only allocation. *)
 
 val options_key : options -> string option
 (** Canonical serialization of the option fields that influence an

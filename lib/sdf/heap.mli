@@ -18,4 +18,12 @@ val min_key : 'a t -> int option
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the entry with the smallest key (ties: first added). *)
 
+val top_key : 'a t -> int
+(** {!min_key} without the option, for hot loops.
+    @raise Invalid_argument on an empty heap. *)
+
+val pop_value : 'a t -> 'a
+(** {!pop} returning only the value, for hot loops.
+    @raise Invalid_argument on an empty heap. *)
+
 val clear : 'a t -> unit

@@ -19,8 +19,7 @@ type method_ = [ `State_space | `Mcm | `Auto ]
 let seen_scratch : (string, int * int) Hashtbl.t Exec.Scratch.slot =
   Exec.Scratch.slot (fun () -> Hashtbl.create 1024)
 
-let analyse_state_space ~options ~max_steps g =
-  let eng = Execution.create ~options g in
+let walk_to_recurrence eng ~max_steps =
   Exec.Scratch.borrow seen_scratch ~reset:Hashtbl.clear @@ fun seen ->
   let rec loop steps =
     if steps > max_steps then Budget_exhausted { steps = max_steps }
@@ -60,6 +59,13 @@ let analyse_state_space ~options ~max_steps g =
     end
   in
   loop 0
+
+let analyse_state_space ~options ~max_steps g =
+  let eng = Execution.create ~options g in
+  (* an inconsistent graph has no iterations to count: its tokens either
+     run out or pile up, so no recurrence can be a verdict *)
+  if Execution.is_consistent eng then walk_to_recurrence eng ~max_steps
+  else Budget_exhausted { steps = 0 }
 
 (* --- symbolic (max,+)/MCM path ----------------------------------------------- *)
 

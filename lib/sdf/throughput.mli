@@ -42,7 +42,9 @@ type result =
       (** the state space did not close within the step budget ([steps]
           advances explored); either the graph needs unbounded buffering
           (inconsistent/unbounded auto-concurrency) or the budget was too
-          small — a budget problem, not a verdict about the graph *)
+          small — a budget problem, not a verdict about the graph. An
+          inconsistent graph has no iterations to count and returns
+          [Budget_exhausted { steps = 0 }] without exploring. *)
 
 type method_ = [ `State_space | `Mcm | `Auto ]
 (** Analysis method selection, see the module preamble. Defaults to
